@@ -54,7 +54,7 @@ bench-runner:
 # Reproduce BENCH_kernels.json: the slice-kernel hot loops (dot, CSR
 # matvec, Cholesky) across formats.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'Dot1024|MatVec1000|Cholesky200' -benchtime 2s ./internal/linalg/
+	$(GO) test -run '^$$' -bench 'Dot1024|MatVec1000|MatVecT1000|Cholesky200' -benchtime 2s ./internal/linalg/
 
 # Reproduce BENCH_lint.json: the linter's full-repo load, the per-run
 # analysis cost, and the cold vs warm fact-cache comparison.

@@ -20,13 +20,22 @@ import (
 // Correct rounding is preserved exactly. The hazard of computing
 // through float64 is double rounding: the float64-rounded result can
 // sit so close to a rounding boundary of the target format that it
-// rounds differently than the exact result would. The rounder detects
-// every such ambiguity conservatively — the discarded bits landing
-// within one 53-bit ulp of the halfway pattern — and falls back to the
-// exact integer pipeline for that operation. The ambiguous band has
-// width 2^-(53-p) of an ulp, so fallbacks are vanishingly rare (~1e-7
-// for posit32) and the fast path is bit-identical to the slow path,
-// which differential tests assert.
+// rounds differently than the exact result would. The hot rounder
+// (roundHot, and its inline copies in the value kernels) treats
+// discarded bits within one 53-bit ulp of the halfway pattern as
+// ambiguous and bails, as it does for exact zeros outside the kernels,
+// specials, the regime-cut scales near minpos/maxpos and overflow.
+// settle then takes over: a result proven exact (TwoSum or FMA
+// residual zero) is a genuine tie or a zero and rounds in registers
+// (roundTie); anything else goes through the general rounder, and a
+// still-ambiguous inexact result through the exact integer pipeline.
+// Bail-outs are not rare: sums of nearby values are often exact ties.
+// On one repro32 pass of the benchmark (fig6-fig9 and ext-bicg on four
+// Table I matrices) the value kernels rounded 56M results inline while
+// settle ran 3.2M times (kernel fallbacks and scalar ops together),
+// all but a few hundred on exact results; none reached the integer
+// pipeline. Differential tests assert the fast path is bit-identical
+// to the slow one.
 
 // roundTables drives value-domain rounding for one format.
 type roundTables struct {
@@ -47,50 +56,105 @@ type roundTables struct {
 	// maxFinBits is math.Float64bits(maxFinV), for the bit-domain
 	// overflow check on the kernel hot path.
 	maxFinBits uint64
+	// dropByE[e] for a float64 biased exponent e: the mantissa bits to
+	// discard at that scale, or 0 where the hot path must not round
+	// inline (zeros, specials, region scales, out of range) — the same
+	// one-load dispatch as Tables.dropByE.
+	dropByE [2048]uint8
 	// posit: overflow clamps to maxFinV and underflow to minPosV;
 	// IEEE: overflow rounds to +Inf and underflow to zero.
 	ieee bool
 }
 
+// initDrops derives dropByE from fb; both constructors call it once fb
+// is filled.
+func (t *roundTables) initDrops() {
+	for i, b := range t.fb {
+		if e := t.minScale + i + 1023; b >= 1 && b <= 51 && e > 0 && e < 2047 {
+			t.dropByE[e] = uint8(52 - int(b))
+		}
+	}
+}
+
 // roundHot rounds x on the common path — finite, nonzero, in a scale
 // region with explicit fraction bits, away from any double-rounding
 // ambiguity, and not overflowing — entirely in integer registers.
-// ok=false sends the caller to the full round/fallback path; whenever
-// both succeed the result is bit-identical to round(x, false). This is
-// the slice-kernel inner loop: one call-free rounding step instead of
-// an interface dispatch plus the general rounder.
+// ok=false sends the caller to settle; whenever roundHot succeeds the
+// result is bit-identical to round(x, false). The valueKernels loops
+// repeat this step inline (roundHot itself is over the inliner's
+// budget).
 func (t *roundTables) roundHot(x float64) (float64, bool) {
-	bits := math.Float64bits(x)
-	abits := bits &^ (1 << 63)
-	e := int(abits >> 52)
-	// e == 0 covers zeros and float64 subnormals; e == 2047 covers
-	// NaN/Inf; out-of-table scales cover under/overflow and the region
-	// path. All bail to the general rounder.
-	idx := e - 1023 - t.minScale
-	if e == 0 || uint(idx) >= uint(len(t.fb)) {
+	ab := math.Float64bits(x)
+	sb := ab & signBit64
+	ab ^= sb
+	drop := uint(t.dropByE[ab>>52])
+	if drop == 0 {
 		return 0, false
 	}
-	fbits := int(t.fb[idx])
-	if fbits < 1 {
-		return 0, false
-	}
-	drop := uint(52 - fbits)
-	discarded := abits & (1<<drop - 1)
+	disc := ab & (1<<drop - 1)
 	half := uint64(1) << (drop - 1)
-	// Ambiguous double-rounding band: discarded ∈ {half-1, half, half+1}.
-	if discarded-(half-1) <= 2 {
+	// Ambiguous double-rounding band: disc ∈ {half-1, half, half+1}.
+	if disc-(half-1) <= 2 {
 		return 0, false
 	}
-	rbits := abits - discarded
-	if discarded > half {
+	rb := ab - disc
+	if disc > half {
 		// Round up; a mantissa carry flows into the exponent field and
 		// lands exactly on the next power of two.
-		rbits += 1 << drop
+		rb += 1 << drop
 	}
-	if rbits > t.maxFinBits {
+	if rb > t.maxFinBits {
 		return 0, false // overflow: the general rounder clamps or infs
 	}
-	return math.Float64frombits(rbits | bits&(1<<63)), true
+	return math.Float64frombits(rb | sb), true
+}
+
+// roundTie is roundHot for an x known to be the exact result: there is
+// no ambiguity band, and disc == half is a genuine tie, rounded to the
+// even pattern by the kept-bit parity (the pattern of 2^s has a zero
+// fraction field wherever there are explicit fraction bits). Exact
+// zeros round here too. Whenever it succeeds the result is
+// bit-identical to round(x, true). It stays a separate function: one
+// rounder with an exact flag made the scalar Add/Mul path ~1.6x slower.
+func (t *roundTables) roundTie(x float64) (float64, bool) {
+	ab := math.Float64bits(x)
+	sb := ab & signBit64
+	ab ^= sb
+	drop := uint(t.dropByE[ab>>52])
+	if drop == 0 {
+		if ab != 0 {
+			return 0, false
+		}
+		if t.ieee {
+			return x, true // IEEE keeps the zero's sign
+		}
+		return 0, true // posit has a single zero
+	}
+	disc := ab & (1<<drop - 1)
+	half := uint64(1) << (drop - 1)
+	rb := ab - disc
+	if disc > half || (disc == half && ab&(1<<drop) != 0) {
+		rb += 1 << drop
+	}
+	if rb > t.maxFinBits {
+		return 0, false
+	}
+	return math.Float64frombits(rb | sb), true
+}
+
+// settle rounds an operation's float64 result r once roundHot has
+// bailed. exact reports that r is the exact result, so its ties are
+// genuine and it always settles; an inexact r in the ambiguity band
+// returns ok=false, and the caller reruns the operation through the
+// integer pipeline.
+func (t *roundTables) settle(r float64, exact bool) (float64, bool) {
+	if exact {
+		if v, ok := t.roundTie(r); ok {
+			return v, true
+		}
+		return t.round(r, true)
+	}
+	return t.round(r, false)
 }
 
 // round rounds a float64 to the format's value set with round-to-
@@ -299,6 +363,7 @@ func FastPosit(c posit.Config) Format {
 		t.mid[i], _ = mv.Float64()
 		t.downOdd[i] = uint64(p)&1 == 1
 	}
+	t.initDrops()
 	fp := fastPosit{c: c, t: t}
 	if c.N() <= 16 {
 		// Every posit with n <= 16 is exact-product eligible: at most
@@ -349,11 +414,10 @@ func (p fastPosit) exact2(op func(posit.Config, posit.Bits, posit.Bits) posit.Bi
 // both paths round identically by construction.
 func (p fastPosit) addVal(x, y float64) float64 {
 	r := x + y
-	if v, ok := p.t.round(r, false); ok {
+	if v, ok := p.t.roundHot(r); ok {
 		return v
 	}
-	if sumExact(x, y, r) {
-		v, _ := p.t.round(r, true)
+	if v, ok := p.t.settle(r, sumExact(x, y, r)); ok {
 		return v
 	}
 	return f64(p.exact2(posit.Config.Add, x, y))
@@ -361,11 +425,10 @@ func (p fastPosit) addVal(x, y float64) float64 {
 
 func (p fastPosit) mulVal(x, y float64) float64 {
 	r := x * y
-	if v, ok := p.t.round(r, false); ok {
+	if v, ok := p.t.roundHot(r); ok {
 		return v
 	}
-	if mulExact(x, y, r) {
-		v, _ := p.t.round(r, true)
+	if v, ok := p.t.settle(r, mulExact(x, y, r)); ok {
 		return v
 	}
 	return f64(p.exact2(posit.Config.Mul, x, y))
@@ -378,22 +441,13 @@ func (p fastPosit) Add(a, b Num) Num {
 	return n64(p.addVal(f64(a), f64(b)))
 }
 
+// Sub(a, b) = Add(a, -b): rounding is sign-symmetric and -y is exact.
 func (p fastPosit) Sub(a, b Num) Num {
-	x, y := f64(a), f64(b)
+	x, y := f64(a), -f64(b)
 	if p.ek != nil {
-		// Sub(a, b) = Add(a, -b): rounding is sign-symmetric and -y is
-		// exact.
-		return n64(p.ek.add(x, -y))
+		return n64(p.ek.add(x, y))
 	}
-	r := x - y
-	if v, ok := p.t.round(r, false); ok {
-		return n64(v)
-	}
-	if sumExact(x, -y, r) {
-		v, _ := p.t.round(r, true)
-		return n64(v)
-	}
-	return p.exact2(posit.Config.Sub, x, y)
+	return n64(p.addVal(x, y))
 }
 
 func (p fastPosit) Mul(a, b Num) Num {
@@ -421,11 +475,10 @@ func (p fastPosit) Div(a, b Num) Num {
 		return n64(math.NaN()) // posit: division by zero is NaR
 	}
 	r := x / y
-	if v, ok := p.t.round(r, false); ok {
+	if v, ok := p.t.roundHot(r); ok {
 		return n64(v)
 	}
-	if divExact(x, y, r) {
-		v, _ := p.t.round(r, true)
+	if v, ok := p.t.settle(r, divExact(x, y, r)); ok {
 		return n64(v)
 	}
 	return p.exact2(posit.Config.Div, x, y)
@@ -440,11 +493,10 @@ func (p fastPosit) Sqrt(a Num) Num {
 		return n64(math.NaN())
 	}
 	r := math.Sqrt(x)
-	if v, ok := p.t.round(r, false); ok {
+	if v, ok := p.t.roundHot(r); ok {
 		return n64(v)
 	}
-	if sqrtExact(x, r) {
-		v, _ := p.t.round(r, true)
+	if v, ok := p.t.settle(r, sqrtExact(x, r)); ok {
 		return n64(v)
 	}
 	rp := p.c.Sqrt(p.c.FromFloat64(x))
@@ -548,6 +600,7 @@ func FastMini(f minifloat.Format, name string) Format {
 		t.mid[i] = (down + up) / 2
 		t.downOdd[i] = downPat&1 == 1
 	}
+	t.initDrops()
 	fm := fastMini{f: f, name: name, t: t}
 	if exactEligibleMini(f) {
 		fm.ek = &exactKernels{lt: lazyTables{build: func() *Tables { return tablesForMini(f) }}}
@@ -575,11 +628,10 @@ func (m fastMini) exact2(op func(minifloat.Format, minifloat.Bits, minifloat.Bit
 // Format methods and the slice kernels (see fastPosit).
 func (m fastMini) addVal(x, y float64) float64 {
 	r := x + y
-	if v, ok := m.t.round(r, false); ok {
+	if v, ok := m.t.roundHot(r); ok {
 		return v
 	}
-	if sumExact(x, y, r) {
-		v, _ := m.t.round(r, true)
+	if v, ok := m.t.settle(r, sumExact(x, y, r)); ok {
 		return v
 	}
 	return f64(m.exact2(minifloat.Format.Add, x, y))
@@ -587,11 +639,10 @@ func (m fastMini) addVal(x, y float64) float64 {
 
 func (m fastMini) mulVal(x, y float64) float64 {
 	r := x * y
-	if v, ok := m.t.round(r, false); ok {
+	if v, ok := m.t.roundHot(r); ok {
 		return v
 	}
-	if mulExact(x, y, r) {
-		v, _ := m.t.round(r, true)
+	if v, ok := m.t.settle(r, mulExact(x, y, r)); ok {
 		return v
 	}
 	return f64(m.exact2(minifloat.Format.Mul, x, y))
@@ -604,20 +655,14 @@ func (m fastMini) Add(a, b Num) Num {
 	return n64(m.addVal(f64(a), f64(b)))
 }
 
+// Sub is Add(a, -b), as for posits: x - y and x + (-y) are the same
+// IEEE operation, signed zeros included.
 func (m fastMini) Sub(a, b Num) Num {
-	x, y := f64(a), f64(b)
+	x, y := f64(a), -f64(b)
 	if m.ek != nil {
-		return n64(m.ek.add(x, -y))
+		return n64(m.ek.add(x, y))
 	}
-	r := x - y
-	if v, ok := m.t.round(r, false); ok {
-		return n64(v)
-	}
-	if sumExact(x, -y, r) {
-		v, _ := m.t.round(r, true)
-		return n64(v)
-	}
-	return m.exact2(minifloat.Format.Sub, x, y)
+	return n64(m.addVal(x, y))
 }
 
 func (m fastMini) Mul(a, b Num) Num {
@@ -641,11 +686,10 @@ func (m fastMini) Div(a, b Num) Num {
 		return n64(m.ek.div(x, y))
 	}
 	r := x / y
-	if v, ok := m.t.round(r, false); ok {
+	if v, ok := m.t.roundHot(r); ok {
 		return n64(v)
 	}
-	if divExact(x, y, r) {
-		v, _ := m.t.round(r, true)
+	if v, ok := m.t.settle(r, divExact(x, y, r)); ok {
 		return n64(v)
 	}
 	return m.exact2(minifloat.Format.Div, x, y)
@@ -657,11 +701,10 @@ func (m fastMini) Sqrt(a Num) Num {
 		return n64(m.ek.sqrtVal(x))
 	}
 	r := math.Sqrt(x)
-	if v, ok := m.t.round(r, false); ok {
+	if v, ok := m.t.roundHot(r); ok {
 		return n64(v)
 	}
-	if sqrtExact(x, r) {
-		v, _ := m.t.round(r, true)
+	if v, ok := m.t.settle(r, sqrtExact(x, r)); ok {
 		return n64(v)
 	}
 	rp := m.f.Sqrt(m.f.FromFloat64(x))

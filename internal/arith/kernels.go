@@ -1,5 +1,7 @@
 package arith
 
+import "math"
+
 // Slice-level kernels.
 //
 // The solvers' wall time is dominated by per-scalar interface dispatch:
@@ -129,14 +131,21 @@ func (s scalarKernels) DivKernel(alpha Num, x []Num) {
 // --- value-domain kernels (fast formats) ---
 
 // valueKernels is the shared kernel engine of the fast value-domain
-// formats (fastPosit, fastMini). The inner loops compute in float64
-// and re-round every operation through roundTables.roundHot — no
-// interface dispatch, no call on the common path — falling back to the
-// format's full addVal/mulVal (general rounder plus integer-pipeline
-// escape) for zeros, exceptional values, extreme scales, and
-// double-rounding ambiguities. Bit-identity with the scalar methods
-// holds by construction: roundHot agrees with the general rounder
-// whenever it succeeds, and the fallback *is* the scalar path.
+// formats (fastPosit, fastMini) outside the table engine — in practice
+// those wider than 16 bits. The inner loops compute in float64 and
+// repeat roundHot inline after every operation — one dropByE
+// load and ~10 integer ops, no call and no interface dispatch — with
+// exact zeros kept in the loop (canonical +0 for posits; IEEE keeps
+// the float64 sign, as round does). Everything else (specials, region
+// scales, the double-rounding band, overflow) calls the format's full
+// addVal/mulVal, which *is* the scalar path and settles exact ties in
+// registers. Resolving those ties inline instead (a TwoSum check in
+// the band) measured ~20% slower on the posit32 experiments.
+// Bit-identity with the scalar methods holds by construction: the
+// inline step agrees with roundHot, roundHot with the general rounder
+// whenever it succeeds, and an exact zero rounds to itself. Any
+// deviation between these loops and roundHot is a bug; kernels_test.go
+// and round_test.go pin them together differentially.
 type valueKernels struct {
 	t        *roundTables
 	add, mul func(x, y float64) float64
@@ -144,106 +153,239 @@ type valueKernels struct {
 
 func (k *valueKernels) dot(x, y []Num) Num {
 	t := k.t
+	drops, maxFin, ieee := &t.dropByE, t.maxFinBits, t.ieee
+	y = y[:len(x)]
 	s := 0.0
 	for i := range x {
 		xi, yi := f64(x[i]), f64(y[i])
-		m, ok := t.roundHot(xi * yi)
-		if !ok {
-			m = k.mul(xi, yi)
+		m := xi * yi
+		ab := math.Float64bits(m)
+		sb := ab & signBit64
+		ab ^= sb
+		if drop := uint(drops[ab>>52]); drop != 0 {
+			disc := ab & (1<<drop - 1)
+			half := uint64(1) << (drop - 1)
+			if disc-(half-1) > 2 {
+				rb := ab - disc
+				if disc > half {
+					rb += 1 << drop
+				}
+				if rb <= maxFin {
+					m = math.Float64frombits(rb | sb)
+					goto sum
+				}
+			}
+		} else if ab == 0 {
+			if !ieee {
+				m = 0
+			}
+			goto sum
 		}
-		v, ok := t.roundHot(s + m)
-		if !ok {
-			v = k.add(s, m)
+		m = k.mul(xi, yi)
+	sum:
+		{
+			r := s + m
+			ab = math.Float64bits(r)
+			sb = ab & signBit64
+			ab ^= sb
+			if drop := uint(drops[ab>>52]); drop != 0 {
+				disc := ab & (1<<drop - 1)
+				half := uint64(1) << (drop - 1)
+				if disc-(half-1) > 2 {
+					rb := ab - disc
+					if disc > half {
+						rb += 1 << drop
+					}
+					if rb <= maxFin {
+						s = math.Float64frombits(rb | sb)
+						continue
+					}
+				}
+			} else if ab == 0 {
+				if ieee {
+					s = r
+				} else {
+					s = 0
+				}
+				continue
+			}
+			s = k.add(s, m)
 		}
-		s = v
 	}
 	return n64(s)
 }
 
-func (k *valueKernels) axpy(alpha Num, x, y []Num) {
-	t := k.t
-	a := f64(alpha)
-	for i := range x {
-		xi := f64(x[i])
-		m, ok := t.roundHot(a * xi)
-		if !ok {
-			m = k.mul(a, xi)
-		}
-		yi := f64(y[i])
-		v, ok := t.roundHot(yi + m)
-		if !ok {
-			v = k.add(yi, m)
-		}
-		y[i] = n64(v)
-	}
-}
-
 func (k *valueKernels) scale(alpha Num, x []Num) {
 	t := k.t
+	drops, maxFin, ieee := &t.dropByE, t.maxFinBits, t.ieee
 	a := f64(alpha)
 	for i := range x {
 		xi := f64(x[i])
-		v, ok := t.roundHot(a * xi)
-		if !ok {
-			v = k.mul(a, xi)
+		m := a * xi
+		ab := math.Float64bits(m)
+		sb := ab & signBit64
+		ab ^= sb
+		if drop := uint(drops[ab>>52]); drop != 0 {
+			disc := ab & (1<<drop - 1)
+			half := uint64(1) << (drop - 1)
+			if disc-(half-1) > 2 {
+				rb := ab - disc
+				if disc > half {
+					rb += 1 << drop
+				}
+				if rb <= maxFin {
+					x[i] = Num(rb | sb)
+					continue
+				}
+			}
+		} else if ab == 0 {
+			if ieee {
+				x[i] = Num(sb)
+			} else {
+				x[i] = 0
+			}
+			continue
 		}
-		x[i] = n64(v)
+		x[i] = n64(k.mul(a, xi))
 	}
 }
 
-func (k *valueKernels) mulAdd(alpha Num, x, y, dst []Num) {
+// fma computes dst[i] = Add(Mul(a, x[i]), y[i]) — the shared body of
+// AxpyKernel (dst = y), MulAddKernel, and TrailingUpdateKernel; dst may
+// alias x or y elementwise. For posits a zero x[i] leaves y[i] as is
+// unless a is NaR: the product is +0, and y[i] + 0 rounds to y[i]. That
+// skip is most of a banded Cholesky's trailing update.
+func (k *valueKernels) fma(a float64, x, y, dst []Num) {
 	t := k.t
-	a := f64(alpha)
+	drops, maxFin, ieee := &t.dropByE, t.maxFinBits, t.ieee
+	skipZero := !ieee && !math.IsNaN(a)
+	y = y[:len(x)]
+	dst = dst[:len(x)]
 	for i := range x {
+		if skipZero && x[i] == 0 {
+			dst[i] = y[i]
+			continue
+		}
 		xi := f64(x[i])
-		m, ok := t.roundHot(a * xi)
-		if !ok {
-			m = k.mul(a, xi)
+		m := a * xi
+		ab := math.Float64bits(m)
+		sb := ab & signBit64
+		ab ^= sb
+		if drop := uint(drops[ab>>52]); drop != 0 {
+			disc := ab & (1<<drop - 1)
+			half := uint64(1) << (drop - 1)
+			if disc-(half-1) > 2 {
+				rb := ab - disc
+				if disc > half {
+					rb += 1 << drop
+				}
+				if rb <= maxFin {
+					m = math.Float64frombits(rb | sb)
+					goto sum
+				}
+			}
+		} else if ab == 0 {
+			if !ieee {
+				m = 0
+			}
+			goto sum
 		}
-		yi := f64(y[i])
-		v, ok := t.roundHot(m + yi)
-		if !ok {
-			v = k.add(m, yi)
+		m = k.mul(a, xi)
+	sum:
+		{
+			yi := f64(y[i])
+			r := m + yi
+			ab = math.Float64bits(r)
+			sb = ab & signBit64
+			ab ^= sb
+			if drop := uint(drops[ab>>52]); drop != 0 {
+				disc := ab & (1<<drop - 1)
+				half := uint64(1) << (drop - 1)
+				if disc-(half-1) > 2 {
+					rb := ab - disc
+					if disc > half {
+						rb += 1 << drop
+					}
+					if rb <= maxFin {
+						dst[i] = Num(rb | sb)
+						continue
+					}
+				}
+			} else if ab == 0 {
+				if ieee {
+					dst[i] = Num(sb)
+				} else {
+					dst[i] = 0
+				}
+				continue
+			}
+			dst[i] = n64(k.add(m, yi))
 		}
-		dst[i] = n64(v)
 	}
 }
 
 func (k *valueKernels) matVec(rowPtr, col []int, val []Num, x, y []Num) {
 	t := k.t
+	drops, maxFin, ieee := &t.dropByE, t.maxFinBits, t.ieee
 	for i := 0; i+1 < len(rowPtr); i++ {
 		s := 0.0
 		for idx := rowPtr[i]; idx < rowPtr[i+1]; idx++ {
 			vi, xi := f64(val[idx]), f64(x[col[idx]])
-			m, ok := t.roundHot(vi * xi)
-			if !ok {
-				m = k.mul(vi, xi)
+			m := vi * xi
+			ab := math.Float64bits(m)
+			sb := ab & signBit64
+			ab ^= sb
+			if drop := uint(drops[ab>>52]); drop != 0 {
+				disc := ab & (1<<drop - 1)
+				half := uint64(1) << (drop - 1)
+				if disc-(half-1) > 2 {
+					rb := ab - disc
+					if disc > half {
+						rb += 1 << drop
+					}
+					if rb <= maxFin {
+						m = math.Float64frombits(rb | sb)
+						goto sum
+					}
+				}
+			} else if ab == 0 {
+				if !ieee {
+					m = 0
+				}
+				goto sum
 			}
-			v, ok := t.roundHot(s + m)
-			if !ok {
-				v = k.add(s, m)
+			m = k.mul(vi, xi)
+		sum:
+			{
+				r := s + m
+				ab = math.Float64bits(r)
+				sb = ab & signBit64
+				ab ^= sb
+				if drop := uint(drops[ab>>52]); drop != 0 {
+					disc := ab & (1<<drop - 1)
+					half := uint64(1) << (drop - 1)
+					if disc-(half-1) > 2 {
+						rb := ab - disc
+						if disc > half {
+							rb += 1 << drop
+						}
+						if rb <= maxFin {
+							s = math.Float64frombits(rb | sb)
+							continue
+						}
+					}
+				} else if ab == 0 {
+					if ieee {
+						s = r
+					} else {
+						s = 0
+					}
+					continue
+				}
+				s = k.add(s, m)
 			}
-			s = v
 		}
 		y[i] = n64(s)
-	}
-}
-
-func (k *valueKernels) trailingUpdate(nalpha Num, x, w []Num) {
-	t := k.t
-	a := f64(nalpha)
-	for i := range x {
-		xi := f64(x[i])
-		m, ok := t.roundHot(a * xi)
-		if !ok {
-			m = k.mul(a, xi)
-		}
-		wi := f64(w[i])
-		v, ok := t.roundHot(m + wi)
-		if !ok {
-			v = k.add(m, wi)
-		}
-		w[i] = n64(v)
 	}
 }
 
@@ -261,7 +403,7 @@ func (p fastPosit) AxpyKernel(alpha Num, x, y []Num) {
 		p.ek.fma(f64(alpha), x, y, y)
 		return
 	}
-	p.kern.axpy(alpha, x, y)
+	p.kern.fma(f64(alpha), x, y, y)
 }
 func (p fastPosit) ScaleKernel(alpha Num, x []Num) {
 	if p.ek != nil {
@@ -275,7 +417,7 @@ func (p fastPosit) MulAddKernel(a Num, x, y, dst []Num) {
 		p.ek.fma(f64(a), x, y, dst)
 		return
 	}
-	p.kern.mulAdd(a, x, y, dst)
+	p.kern.fma(f64(a), x, y, dst)
 }
 func (p fastPosit) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
 	if p.ek != nil {
@@ -289,7 +431,7 @@ func (p fastPosit) TrailingUpdateKernel(nalpha Num, x, w []Num) {
 		p.ek.fma(f64(nalpha), x, w, w)
 		return
 	}
-	p.kern.trailingUpdate(nalpha, x, w)
+	p.kern.fma(f64(nalpha), x, w, w)
 }
 func (p fastPosit) DivKernel(alpha Num, x []Num) {
 	if p.ek != nil {
@@ -312,7 +454,7 @@ func (m fastMini) AxpyKernel(alpha Num, x, y []Num) {
 		m.ek.fma(f64(alpha), x, y, y)
 		return
 	}
-	m.kern.axpy(alpha, x, y)
+	m.kern.fma(f64(alpha), x, y, y)
 }
 func (m fastMini) ScaleKernel(alpha Num, x []Num) {
 	if m.ek != nil {
@@ -326,7 +468,7 @@ func (m fastMini) MulAddKernel(a Num, x, y, dst []Num) {
 		m.ek.fma(f64(a), x, y, dst)
 		return
 	}
-	m.kern.mulAdd(a, x, y, dst)
+	m.kern.fma(f64(a), x, y, dst)
 }
 func (m fastMini) MatVecKernel(rowPtr, col []int, val []Num, x, y []Num) {
 	if m.ek != nil {
@@ -340,7 +482,7 @@ func (m fastMini) TrailingUpdateKernel(nalpha Num, x, w []Num) {
 		m.ek.fma(f64(nalpha), x, w, w)
 		return
 	}
-	m.kern.trailingUpdate(nalpha, x, w)
+	m.kern.fma(f64(nalpha), x, w, w)
 }
 func (m fastMini) DivKernel(alpha Num, x []Num) {
 	if m.ek != nil {

@@ -9,17 +9,27 @@ import (
 	"positlab/internal/posit"
 )
 
+// binary32Soft is IEEE binary32 in software: too wide for the 16-bit
+// table engine, so its kernels run the value engine's IEEE branch.
+var binary32Soft = minifloat.MustNew(8, 23)
+
 // kernelFormats is the differential universe: every registered format
-// (all fast value-domain implementations plus the native IEEE ones)
-// and the slow integer-pipeline references, which exercise the generic
-// scalar fallback of the kernel layer.
+// (all fast value-domain implementations plus the native IEEE ones),
+// the slow integer-pipeline references, which exercise the generic
+// scalar fallback of the kernel layer, and a software binary32 on the
+// value engine (every registered minifloat takes the table engine).
 func kernelFormats(t *testing.T) map[string]arith.Format {
 	fs := map[string]arith.Format{}
 	for _, name := range arith.Names() {
 		fs[name] = arith.MustByName(name)
 	}
+	pairs := referencePairs()
+	for name, p := range pairs {
+		fs[name+"-slow"] = p.slow
+	}
+	// The registered posits above cover the other fast halves.
+	fs["binary32soft"] = pairs["binary32soft"].fast
 	fs["posit16e2-slow"] = arith.Posit(posit.Posit16e2)
-	fs["posit32e2-slow"] = arith.Posit(posit.Posit32e2)
 	fs["float16-slow"] = arith.Mini(minifloat.Float16, "Float16")
 	fs["bfloat16-slow"] = arith.Mini(minifloat.BFloat16, "BFloat16")
 	if len(fs) < 20 {
@@ -28,10 +38,23 @@ func kernelFormats(t *testing.T) map[string]arith.Format {
 	return fs
 }
 
+// referencePairs are the value-engine formats (wider than 16 bits)
+// with their integer-pipeline references. The kernels of each fast
+// format must reproduce the reference's scalar loops value for value.
+func referencePairs() map[string]struct{ fast, slow arith.Format } {
+	p24 := posit.MustNew(24, 2)
+	return map[string]struct{ fast, slow arith.Format }{
+		"posit32e2":    {arith.Posit32e2, arith.Posit(posit.Posit32e2)},
+		"posit32e3":    {arith.Posit32e3, arith.Posit(posit.Posit32e3)},
+		"posit24e2":    {arith.FastPosit(p24), arith.Posit(p24)},
+		"binary32soft": {arith.FastMini(binary32Soft, "binary32"), arith.Mini(binary32Soft, "binary32")},
+	}
+}
+
 // kernelOperands builds a randomized operand slice in f that
-// deliberately includes the exceptional patterns — zeros, NaR/NaN,
-// ±Inf (via overflow in IEEE formats), max/min magnitudes — amid a
-// log-uniform spread.
+// deliberately includes the exceptional patterns — zeros of both
+// signs, NaR/NaN, ±Inf (via overflow in IEEE formats), max/min
+// magnitudes — amid a log-uniform spread.
 func kernelOperands(f arith.Format, n int, seed uint64) []arith.Num {
 	x := seed
 	next := func() uint64 {
@@ -56,6 +79,8 @@ func kernelOperands(f arith.Format, n int, seed uint64) []arith.Num {
 			out[i] = f.FromFloat64(f.MaxValue() / 2)
 		case 5:
 			out[i] = f.One()
+		case 6:
+			out[i] = f.FromFloat64(math.Copysign(0, -1)) // IEEE −0
 		default:
 			e := int(r%200) - 100
 			m := 1 + float64(r>>40)/float64(1<<24)
@@ -67,6 +92,47 @@ func kernelOperands(f arith.Format, n int, seed uint64) []arith.Num {
 		}
 	}
 	return out
+}
+
+// bandedOperands is mostly zeros, like the rows of a banded matrix
+// stored dense: a nonzero band in the middle, a scattered nonzero
+// every 17th entry, and −0 every 5th.
+func bandedOperands(f arith.Format, n int, seed uint64) []arith.Num {
+	dense := kernelOperands(f, n, seed)
+	out := make([]arith.Num, n)
+	for i := range out {
+		switch {
+		case i >= n/3 && i < n/3+8, i%17 == 3:
+			out[i] = dense[i]
+		case i%5 == 0:
+			out[i] = f.FromFloat64(math.Copysign(0, -1))
+		default:
+			out[i] = f.Zero()
+		}
+	}
+	return out
+}
+
+// kernelCase is one operand set for the kernel differentials.
+type kernelCase struct {
+	name  string
+	x, y  []arith.Num
+	alpha arith.Num
+}
+
+// kernelCases covers the dense random mix and zero-dense slices, the
+// latter also against NaR/NaN, infinite and −0 alphas (a NaR alpha
+// must not skip zero x).
+func kernelCases(f arith.Format, n int) []kernelCase {
+	const sx, sy = 0x9E3779B97F4A7C15, 0xD1B54A32D192ED03
+	third := f.FromFloat64(1.0 / 3.0)
+	return []kernelCase{
+		{"mixed", kernelOperands(f, n, sx), kernelOperands(f, n, sy), third},
+		{"banded", bandedOperands(f, n, sx), kernelOperands(f, n, sy), third},
+		{"banded-nan-alpha", bandedOperands(f, n, sx), kernelOperands(f, n, sy), f.FromFloat64(math.NaN())},
+		{"banded-inf-alpha", bandedOperands(f, n, sx), bandedOperands(f, n, sy), f.FromFloat64(math.Inf(-1))},
+		{"banded-negzero-alpha", bandedOperands(f, n, sx), bandedOperands(f, n, sy), f.FromFloat64(math.Copysign(0, -1))},
+	}
 }
 
 // eqNum compares two results of the same format: exceptional values
@@ -83,11 +149,104 @@ func eqNum(f arith.Format, a, b arith.Num) bool {
 
 func cloneNums(x []arith.Num) []arith.Num { return append([]arith.Num(nil), x...) }
 
+// kernelResults holds the output of each kernel on one case; the
+// matvec runs on bandCSR.
+type kernelResults struct {
+	dot                                   arith.Num
+	axpy, scale, mulAdd, trailing, matVec []arith.Num
+}
+
+// scalarLoops computes every kernel's defining sequence of scalar
+// Format operations — the pre-kernel inner loops of linalg and the
+// solvers. The trailing update is the Cholesky form Sub(w[i],
+// Mul(alpha, x[i])) that TrailingUpdateKernel(Neg(alpha), ...) must
+// reproduce.
+func scalarLoops(f arith.Format, c kernelCase) kernelResults {
+	x, y, alpha := c.x, c.y, c.alpha
+	n := len(x)
+	r := kernelResults{dot: f.Zero()}
+	for i := range x {
+		r.dot = f.Add(r.dot, f.Mul(x[i], y[i]))
+	}
+	r.axpy, r.scale, r.mulAdd, r.trailing = cloneNums(y), cloneNums(x), make([]arith.Num, n), cloneNums(y)
+	for i := range x {
+		r.axpy[i] = f.Add(r.axpy[i], f.Mul(alpha, x[i]))
+		r.scale[i] = f.Mul(alpha, r.scale[i])
+		r.mulAdd[i] = f.Add(f.Mul(alpha, x[i]), y[i])
+		r.trailing[i] = f.Sub(r.trailing[i], f.Mul(alpha, x[i]))
+	}
+	rowPtr, col, val := bandCSR(f, n)
+	r.matVec = make([]arith.Num, n)
+	for i := 0; i < n; i++ {
+		sum := f.Zero()
+		for idx := rowPtr[i]; idx < rowPtr[i+1]; idx++ {
+			sum = f.Add(sum, f.Mul(val[idx], x[col[idx]]))
+		}
+		r.matVec[i] = sum
+	}
+	return r
+}
+
+// bulkKernels runs every kernel of f on c.
+func bulkKernels(f arith.Format, c kernelCase) kernelResults {
+	bk := arith.BulkOf(f)
+	x, y, alpha := c.x, c.y, c.alpha
+	n := len(x)
+	r := kernelResults{dot: bk.DotKernel(x, y)}
+	r.axpy = cloneNums(y)
+	bk.AxpyKernel(alpha, x, r.axpy)
+	r.scale = cloneNums(x)
+	bk.ScaleKernel(alpha, r.scale)
+	r.mulAdd = make([]arith.Num, n)
+	bk.MulAddKernel(alpha, x, y, r.mulAdd)
+	r.trailing = cloneNums(y)
+	bk.TrailingUpdateKernel(f.Neg(alpha), x, r.trailing)
+	rowPtr, col, val := bandCSR(f, n)
+	r.matVec = make([]arith.Num, n)
+	bk.MatVecKernel(rowPtr, col, val, x, r.matVec)
+	return r
+}
+
+// compareResults reports the first element of every kernel where got
+// (in format gf) and want (in wf) differ as float64 values: NaN
+// matches NaN by class, everything else bit for bit — signed zeros
+// included, since fast posits keep the canonical +0 as the integer
+// pipeline does.
+func compareResults(t *testing.T, gf arith.Format, got kernelResults, wf arith.Format, want kernelResults) {
+	t.Helper()
+	eq := func(a, b arith.Num) bool {
+		va, vb := gf.ToFloat64(a), wf.ToFloat64(b)
+		if math.IsNaN(va) || math.IsNaN(vb) {
+			return math.IsNaN(va) && math.IsNaN(vb)
+		}
+		return math.Float64bits(va) == math.Float64bits(vb)
+	}
+	if !eq(got.dot, want.dot) {
+		t.Errorf("DotKernel = %g, scalar loop = %g", gf.ToFloat64(got.dot), wf.ToFloat64(want.dot))
+	}
+	for _, k := range []struct {
+		name      string
+		got, want []arith.Num
+	}{
+		{"AxpyKernel", got.axpy, want.axpy},
+		{"ScaleKernel", got.scale, want.scale},
+		{"MulAddKernel", got.mulAdd, want.mulAdd},
+		{"TrailingUpdateKernel", got.trailing, want.trailing},
+		{"MatVecKernel", got.matVec, want.matVec},
+	} {
+		for i := range k.want {
+			if !eq(k.got[i], k.want[i]) {
+				t.Errorf("%s[%d] = %g, scalar loop = %g", k.name, i, gf.ToFloat64(k.got[i]), wf.ToFloat64(k.want[i]))
+				break
+			}
+		}
+	}
+}
+
 // TestKernelsMatchScalarLoops asserts every kernel is bit-identical to
-// the defining sequence of scalar Format operations — the pre-kernel
-// inner loops of linalg and the solvers — on randomized slices laced
-// with NaR/Inf/zero patterns, for every registered format and the slow
-// reference implementations.
+// the defining sequence of scalar Format operations on randomized and
+// zero-dense slices laced with NaR/Inf/±0 patterns, for every
+// registered format and the slow reference implementations.
 func TestKernelsMatchScalarLoops(t *testing.T) {
 	n := 257 // odd, not a chunk multiple
 	if testing.Short() {
@@ -95,116 +254,76 @@ func TestKernelsMatchScalarLoops(t *testing.T) {
 	}
 	for name, f := range kernelFormats(t) {
 		t.Run(name, func(t *testing.T) {
-			bk := arith.BulkOf(f)
-			x := kernelOperands(f, n, 0x9E3779B97F4A7C15)
-			y := kernelOperands(f, n, 0xD1B54A32D192ED03)
-			alpha := f.FromFloat64(1.0 / 3.0)
-
-			// Dot: s = Add(s, Mul(x[i], y[i])), left to right.
-			want := f.Zero()
-			for i := range x {
-				want = f.Add(want, f.Mul(x[i], y[i]))
-			}
-			if got := bk.DotKernel(x, y); !eqNum(f, got, want) {
-				t.Errorf("DotKernel = %g, scalar loop = %g", f.ToFloat64(got), f.ToFloat64(want))
-			}
-
-			// Axpy: y[i] = Add(y[i], Mul(alpha, x[i])).
-			wy := cloneNums(y)
-			for i := range x {
-				wy[i] = f.Add(wy[i], f.Mul(alpha, x[i]))
-			}
-			gy := cloneNums(y)
-			bk.AxpyKernel(alpha, x, gy)
-			for i := range wy {
-				if !eqNum(f, gy[i], wy[i]) {
-					t.Fatalf("AxpyKernel[%d] = %g, scalar = %g", i, f.ToFloat64(gy[i]), f.ToFloat64(wy[i]))
-				}
-			}
-
-			// Scale: x[i] = Mul(alpha, x[i]).
-			wx := cloneNums(x)
-			for i := range wx {
-				wx[i] = f.Mul(alpha, wx[i])
-			}
-			gx := cloneNums(x)
-			bk.ScaleKernel(alpha, gx)
-			for i := range wx {
-				if !eqNum(f, gx[i], wx[i]) {
-					t.Fatalf("ScaleKernel[%d] = %g, scalar = %g", i, f.ToFloat64(gx[i]), f.ToFloat64(wx[i]))
-				}
-			}
-
-			// MulAdd: dst[i] = Add(Mul(alpha, x[i]), y[i]), and the CG
-			// form Add(y[i], Mul(alpha, x[i])) must agree with it (the
-			// rewired p-update relies on that commutativity).
-			wd := make([]arith.Num, n)
-			for i := range x {
-				wd[i] = f.Add(f.Mul(alpha, x[i]), y[i])
-				cg := f.Add(y[i], f.Mul(alpha, x[i]))
-				if !eqNum(f, wd[i], cg) {
-					t.Fatalf("Add not commutative at %d: %g vs %g", i, f.ToFloat64(wd[i]), f.ToFloat64(cg))
-				}
-			}
-			gd := make([]arith.Num, n)
-			bk.MulAddKernel(alpha, x, y, gd)
-			for i := range wd {
-				if !eqNum(f, gd[i], wd[i]) {
-					t.Fatalf("MulAddKernel[%d] = %g, scalar = %g", i, f.ToFloat64(gd[i]), f.ToFloat64(wd[i]))
-				}
-			}
-			// Aliased dst (dst = x), as the CG direction update calls it.
-			ga := cloneNums(x)
-			bk.MulAddKernel(alpha, ga, y, ga)
-			for i := range wd {
-				if !eqNum(f, ga[i], wd[i]) {
-					t.Fatalf("aliased MulAddKernel[%d] = %g, scalar = %g", i, f.ToFloat64(ga[i]), f.ToFloat64(wd[i]))
-				}
-			}
-
-			// TrailingUpdate with the negated scale must reproduce the
-			// Cholesky form Sub(w[i], Mul(alpha, x[i])) bit for bit.
-			ww := cloneNums(y)
-			for i := range x {
-				ww[i] = f.Sub(ww[i], f.Mul(alpha, x[i]))
-			}
-			gw := cloneNums(y)
-			bk.TrailingUpdateKernel(f.Neg(alpha), x, gw)
-			for i := range ww {
-				if !eqNum(f, gw[i], ww[i]) {
-					t.Fatalf("TrailingUpdateKernel[%d] = %g, scalar Sub = %g", i, f.ToFloat64(gw[i]), f.ToFloat64(ww[i]))
-				}
-			}
-
-			// MatVec on a synthetic CSR band: y[i] via the scalar
-			// accumulation, including empty rows.
-			rowPtr, col, val := bandCSR(f, n)
-			wv := make([]arith.Num, n)
-			for i := 0; i < n; i++ {
-				sum := f.Zero()
-				for idx := rowPtr[i]; idx < rowPtr[i+1]; idx++ {
-					sum = f.Add(sum, f.Mul(val[idx], x[col[idx]]))
-				}
-				wv[i] = sum
-			}
-			gv := make([]arith.Num, n)
-			bk.MatVecKernel(rowPtr, col, val, x, gv)
-			for i := range wv {
-				if !eqNum(f, gv[i], wv[i]) {
-					t.Fatalf("MatVecKernel[%d] = %g, scalar = %g", i, f.ToFloat64(gv[i]), f.ToFloat64(wv[i]))
-				}
-			}
-			// Sharded window: rows [lo, hi) through the same kernel
-			// must equal the full pass (the parallel matvec contract).
-			lo, hi := n/3, 2*n/3
-			shard := make([]arith.Num, hi-lo)
-			bk.MatVecKernel(rowPtr[lo:hi+1], col, val, x, shard)
-			for i := range shard {
-				if !eqNum(f, shard[i], wv[lo+i]) {
-					t.Fatalf("windowed MatVecKernel[%d] = %g, scalar = %g", lo+i, f.ToFloat64(shard[i]), f.ToFloat64(wv[lo+i]))
-				}
+			for _, c := range kernelCases(f, n) {
+				t.Run(c.name, func(t *testing.T) {
+					want := scalarLoops(f, c)
+					compareResults(t, f, bulkKernels(f, c), f, want)
+					checkKernelForms(t, f, c, want)
+				})
 			}
 		})
+	}
+}
+
+// TestValueKernelsMatchReference runs the value engine's kernels —
+// posit and IEEE branches — against the scalar loops of the integer
+// pipeline they reproduce, value for value.
+func TestValueKernelsMatchReference(t *testing.T) {
+	n := 257
+	if testing.Short() {
+		n = 65
+	}
+	for name, p := range referencePairs() {
+		t.Run(name, func(t *testing.T) {
+			// The Num encodings differ by design: operands cross over
+			// as float64 values.
+			conv := func(x []arith.Num) []arith.Num {
+				out := make([]arith.Num, len(x))
+				for i, v := range x {
+					out[i] = p.fast.FromFloat64(p.slow.ToFloat64(v))
+				}
+				return out
+			}
+			for _, c := range kernelCases(p.slow, n) {
+				t.Run(c.name, func(t *testing.T) {
+					fc := kernelCase{c.name, conv(c.x), conv(c.y), conv([]arith.Num{c.alpha})[0]}
+					compareResults(t, p.fast, bulkKernels(p.fast, fc), p.slow, scalarLoops(p.slow, c))
+				})
+			}
+		})
+	}
+}
+
+// checkKernelForms asserts the call forms the solvers rely on beyond
+// the defining loops: Add commutes inside MulAdd (the CG form
+// Add(y[i], Mul(alpha, x[i]))), MulAddKernel may alias dst = x, and a
+// sharded MatVecKernel window equals the full pass.
+func checkKernelForms(t *testing.T, f arith.Format, c kernelCase, want kernelResults) {
+	t.Helper()
+	bk := arith.BulkOf(f)
+	x, y, alpha := c.x, c.y, c.alpha
+	n := len(x)
+	for i := range x {
+		cg := f.Add(y[i], f.Mul(alpha, x[i]))
+		if !eqNum(f, want.mulAdd[i], cg) {
+			t.Fatalf("Add not commutative at %d: %g vs %g", i, f.ToFloat64(want.mulAdd[i]), f.ToFloat64(cg))
+		}
+	}
+	ga := cloneNums(x)
+	bk.MulAddKernel(alpha, ga, y, ga)
+	for i := range ga {
+		if !eqNum(f, ga[i], want.mulAdd[i]) {
+			t.Fatalf("aliased MulAddKernel[%d] = %g, scalar = %g", i, f.ToFloat64(ga[i]), f.ToFloat64(want.mulAdd[i]))
+		}
+	}
+	rowPtr, col, val := bandCSR(f, n)
+	lo, hi := n/3, 2*n/3
+	shard := make([]arith.Num, hi-lo)
+	bk.MatVecKernel(rowPtr[lo:hi+1], col, val, x, shard)
+	for i := range shard {
+		if !eqNum(f, shard[i], want.matVec[lo+i]) {
+			t.Fatalf("windowed MatVecKernel[%d] = %g, scalar = %g", lo+i, f.ToFloat64(shard[i]), f.ToFloat64(want.matVec[lo+i]))
+		}
 	}
 }
 

@@ -117,12 +117,22 @@ func OrOS(fsys FS) FS {
 // (temp files silently accreting on a sick disk) deserves surfacing
 // too.
 func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	return WriteAtomic(fsys, path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// WriteAtomic is WriteFileAtomic for content that write streams into
+// the temp file, so a large artifact never has to sit in memory whole.
+// An error from write aborts the replace like a failed Write.
+func WriteAtomic(fsys FS, path string, write func(io.Writer) error) error {
 	f, err := fsys.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	_, werr := f.Write(data)
+	werr := write(f)
 	serr := f.Sync() // data must reach disk before the rename can commit it
 	cerr := f.Close()
 	if err := errors.Join(werr, serr, cerr); err != nil {

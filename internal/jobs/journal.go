@@ -198,11 +198,33 @@ type snapshot struct {
 func writeSnapshot(fsys faultfs.FS, dir string, snap *snapshot) error {
 	// Deterministic order: sorted by submission sequence.
 	sort.Slice(snap.Jobs, func(i, k int) bool { return snap.Jobs[i].Seq < snap.Jobs[k].Seq })
-	b, err := json.Marshal(snap)
+	// Stream job by job, so a compaction holds one job's JSON at a
+	// time rather than copies of the whole table. The bytes are
+	// json.Marshal(snap) plus a newline.
+	err := faultfs.WriteAtomic(fsys, filepath.Join(dir, snapshotName), func(w io.Writer) error {
+		// A bufio.Writer's errors are sticky: Flush reports the first.
+		bw := bufio.NewWriterSize(w, 64<<10)
+		_, _ = fmt.Fprintf(bw, `{"seq":%d,"jobs":`, snap.Seq)
+		if snap.Jobs == nil {
+			_, _ = bw.WriteString("null")
+		} else {
+			_ = bw.WriteByte('[')
+			for i, j := range snap.Jobs {
+				b, err := json.Marshal(j)
+				if err != nil {
+					return fmt.Errorf("marshal snapshot: %w", err)
+				}
+				if i > 0 {
+					_ = bw.WriteByte(',')
+				}
+				_, _ = bw.Write(b)
+			}
+			_ = bw.WriteByte(']')
+		}
+		_, _ = bw.WriteString("}\n")
+		return bw.Flush()
+	})
 	if err != nil {
-		return fmt.Errorf("jobs: marshal snapshot: %w", err)
-	}
-	if err := faultfs.WriteFileAtomic(fsys, filepath.Join(dir, snapshotName), append(b, '\n')); err != nil {
 		return fmt.Errorf("jobs: write snapshot: %w", err)
 	}
 	return nil

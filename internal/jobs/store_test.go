@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"positlab/internal/faultfs"
 )
 
 func mustOpen(t *testing.T, dir string, cfg Config) *Store {
@@ -236,6 +238,38 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 	if g, _ := s2.Get(last.ID); g.State != StateSucceeded {
 		t.Fatalf("last job = %+v", g)
+	}
+}
+
+// TestSnapshotBytesMatchMarshal pins the streamed snapshot to the
+// bytes of json.Marshal(snapshot) plus a newline — nil, empty and
+// populated tables, payloads with characters the encoder escapes.
+func TestSnapshotBytesMatchMarshal(t *testing.T) {
+	jobs := []*Job{
+		{ID: "j000001", Seq: 1, Kind: "solve", State: StateSucceeded, Spec: json.RawMessage(`{"a": [1, 2]}`), Result: json.RawMessage(`{"x":"<&>"}`)},
+		{ID: "j000002", Seq: 2, Kind: "experiment", State: StateFailed, Error: "bad <input> & \u2028"},
+		{ID: "j000003", Seq: 3, Kind: "solve", State: StateQueued, Checkpoint: json.RawMessage(`{"iter":4}`), CheckpointIter: 4},
+	}
+	for _, snap := range []*snapshot{
+		{Seq: 0},
+		{Seq: 5, Jobs: []*Job{}},
+		{Seq: 9, Jobs: []*Job{jobs[2], jobs[0], jobs[1]}},
+	} {
+		dir := t.TempDir()
+		if err := writeSnapshot(faultfs.OS, dir, snap); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, snapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(snap) // writeSnapshot sorted snap.Jobs
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want)+"\n" {
+			t.Fatalf("snapshot bytes:\n%s\nwant:\n%s", got, want)
+		}
 	}
 }
 

@@ -29,6 +29,22 @@ func BenchmarkMatVec1000Float16(b *testing.B)   { benchMatVec(b, arith.Float16) 
 func BenchmarkMatVec1000Posit32e2(b *testing.B) { benchMatVec(b, arith.Posit32e2) }
 func BenchmarkMatVec1000Posit16e1(b *testing.B) { benchMatVec(b, arith.Posit16e1) }
 
+// BenchmarkMatVecT1000Posit32e2 times BiCG's transposed product:
+// per-row gathers through AxpyKernel.
+func BenchmarkMatVecT1000Posit32e2(b *testing.B) {
+	f := arith.Posit32e2
+	an := laplacian1D(1000).ToFormat(f, false)
+	x := linalg.NewVec(f, an.N)
+	for i := range x {
+		x[i] = f.FromFloat64(float64(i%13) - 6)
+	}
+	y, work := linalg.NewVec(f, an.N), linalg.NewVec(f, an.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		an.MatVecT(x, y, work)
+	}
+}
+
 func BenchmarkMatVecF64Native(b *testing.B) {
 	a := laplacian1D(1000)
 	x := make([]float64, a.N)

@@ -6,6 +6,8 @@ import (
 
 	"positlab/internal/arith"
 	"positlab/internal/linalg"
+	"positlab/internal/minifloat"
+	"positlab/internal/posit"
 )
 
 func laplacian1D(n int) *linalg.Sparse {
@@ -102,7 +104,7 @@ func TestMatVecT(t *testing.T) {
 		sn := s.ToFormat(f, false)
 		x := linalg.VecFromFloat64(f, []float64{1, 2, 3})
 		y := linalg.NewVec(f, 3)
-		sn.MatVecT(x, y)
+		sn.MatVecT(x, y, linalg.NewVec(f, 3))
 		// Aᵀx = [1+15, 2+6, 8+18] = [16, 8, 26].
 		got := linalg.VecToFloat64(f, y)
 		for i, want := range []float64{16, 8, 26} {
@@ -120,11 +122,111 @@ func TestMatVecT(t *testing.T) {
 	y1 := linalg.NewVec(f, 6)
 	y2 := linalg.NewVec(f, 6)
 	sn.MatVec(x, y1)
-	sn.MatVecT(x, y2)
+	sn.MatVecT(x, y2, linalg.NewVec(f, 6))
 	for i := range y1 {
 		if f.ToFloat64(y1[i]) != f.ToFloat64(y2[i]) {
 			t.Fatalf("symmetric MatVecT mismatch at %d", i)
 		}
+	}
+}
+
+// matVecTFormats mirrors the kernel differential universe of
+// internal/arith: every registered format, the integer-pipeline
+// references (the scalar kernel fallback), and a software binary32 on
+// the value engine's IEEE branch.
+func matVecTFormats() map[string]arith.Format {
+	fs := map[string]arith.Format{}
+	for _, name := range arith.Names() {
+		fs[name] = arith.MustByName(name)
+	}
+	b32 := minifloat.MustNew(8, 23)
+	fs["binary32soft"] = arith.FastMini(b32, "binary32")
+	fs["binary32soft-slow"] = arith.Mini(b32, "binary32")
+	fs["posit32e2-slow"] = arith.Posit(posit.Posit32e2)
+	fs["posit16e2-slow"] = arith.Posit(posit.Posit16e2)
+	fs["float16-slow"] = arith.Mini(minifloat.Float16, "Float16")
+	return fs
+}
+
+// scatterMatVecT is MatVecT's defining scalar loop: zero y, then for
+// every row with a nonzero x[i] scatter y[col] = Add(y[col],
+// Mul(val, x[i])) in storage order.
+func scatterMatVecT(m *linalg.SparseNum, x, y []arith.Num) {
+	f := m.F
+	for i := range y {
+		y[i] = f.Zero()
+	}
+	for i := 0; i < m.N; i++ {
+		if f.IsZero(x[i]) {
+			continue
+		}
+		for idx := m.RowPtr[i]; idx < m.RowPtr[i+1]; idx++ {
+			j := m.Col[idx]
+			y[j] = f.Add(y[j], f.Mul(m.Val[idx], x[i]))
+		}
+	}
+}
+
+// TestMatVecTMatchesScatter runs the kernel-backed MatVecT against the
+// scalar scatter on a nonsymmetric matrix (with an empty row) and an x
+// holding zeros of both signs, NaR/NaN and wide magnitudes, in every
+// format. Results must agree bit for bit (NaN by class).
+func TestMatVecTMatchesScatter(t *testing.T) {
+	const n = 60
+	var entries []linalg.Entry
+	for i := 0; i < n; i++ {
+		if i == 17 {
+			continue // empty row
+		}
+		for _, d := range []int{-7, -1, 0, 2, 11} {
+			j := i + d
+			if j < 0 || j >= n {
+				continue
+			}
+			v := float64((i*31+j*7)%23-11) / 3
+			if d == 0 {
+				v += 9
+			}
+			entries = append(entries, linalg.Entry{Row: i, Col: j, Val: v * math.Ldexp(1, (i+j)%9-4)})
+		}
+	}
+	s, err := linalg.NewSparseFromEntries(n, entries, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]float64, n)
+	for i := range xs {
+		switch i % 9 {
+		case 0:
+			xs[i] = 0
+		case 4:
+			xs[i] = math.Copysign(0, -1)
+		default:
+			xs[i] = math.Ldexp(float64(i%13)-6.5, i%21-10) / 7
+		}
+	}
+	xs[23] = math.NaN()
+	for name, f := range matVecTFormats() {
+		t.Run(name, func(t *testing.T) {
+			m := s.ToFormat(f, false)
+			x := linalg.VecFromFloat64(f, xs)
+			want := linalg.NewVec(f, n)
+			scatterMatVecT(m, x, want)
+			got := linalg.NewVec(f, n)
+			m.MatVecT(x, got, linalg.VecFromFloat64(f, xs)) // dirty scratch must not matter
+			for i := range want {
+				g, w := f.ToFloat64(got[i]), f.ToFloat64(want[i])
+				if math.IsNaN(g) || math.IsNaN(w) {
+					if math.IsNaN(g) != math.IsNaN(w) {
+						t.Fatalf("y[%d] = %g, scatter = %g", i, g, w)
+					}
+					continue
+				}
+				if math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("y[%d] = %g, scatter = %g", i, g, w)
+				}
+			}
+		})
 	}
 }
 

@@ -266,12 +266,19 @@ func (m *SparseNum) MatVec(x, y []arith.Num) {
 func (m *SparseNum) NNZ() int { return len(m.Val) }
 
 // MatVecT computes y = Aᵀ·x in the matrix's format by scattering along
-// rows. Note the accumulation order differs from MatVec even for
+// rows: for each row i with x[i] nonzero, y[col] ← Add(y[col],
+// Mul(val, x[i])). Each row runs through AxpyKernel on a copy of its y
+// entries gathered into work, a caller-owned scratch vector of length
+// N, so a solver loop allocates nothing (CSR rows have distinct
+// columns, since duplicates are summed). Every rounding is the scalar
+// scatter's. Note the accumulation order differs from MatVec even for
 // symmetric matrices, so results may differ in the last rounding.
-func (m *SparseNum) MatVecT(x, y []arith.Num) {
+func (m *SparseNum) MatVecT(x, y, work []arith.Num) {
 	checkLen(len(x), m.N)
 	checkLen(len(y), m.N)
+	checkLen(len(work), m.N)
 	f := m.F
+	bk := arith.BulkOf(f)
 	z := f.Zero()
 	for i := range y {
 		y[i] = z
@@ -281,9 +288,14 @@ func (m *SparseNum) MatVecT(x, y []arith.Num) {
 		if f.IsZero(xi) {
 			continue
 		}
-		for idx := m.RowPtr[i]; idx < m.RowPtr[i+1]; idx++ {
-			j := m.Col[idx]
-			y[j] = f.Add(y[j], f.Mul(m.Val[idx], xi))
+		cols := m.Col[m.RowPtr[i]:m.RowPtr[i+1]]
+		row := work[:len(cols)]
+		for k, j := range cols {
+			row[k] = y[j]
+		}
+		bk.AxpyKernel(xi, m.Val[m.RowPtr[i]:m.RowPtr[i+1]], row)
+		for k, j := range cols {
+			y[j] = row[k]
 		}
 	}
 }

@@ -37,6 +37,7 @@ func BiCG(a *linalg.SparseNum, b []arith.Num, tol float64, maxIter int) BiCGResu
 	ph := append([]arith.Num(nil), b...)
 	ap := linalg.NewVec(f, n)
 	atph := linalg.NewVec(f, n)
+	work := linalg.NewVec(f, n) // MatVecT gather scratch
 
 	res := BiCGResult{}
 	track := func(vs ...[]arith.Num) {
@@ -65,7 +66,7 @@ func BiCG(a *linalg.SparseNum, b []arith.Num, tol float64, maxIter int) BiCGResu
 
 	for k := 0; k < maxIter; k++ {
 		a.MatVec(p, ap)
-		a.MatVecT(ph, atph)
+		a.MatVecT(ph, atph, work)
 		den := linalg.Dot(f, ph, ap)
 		alpha := f.Div(rho, den)
 		if f.Bad(alpha) {
@@ -96,10 +97,8 @@ func BiCG(a *linalg.SparseNum, b []arith.Num, tol float64, maxIter int) BiCGResu
 			res.Failed = true
 			break
 		}
-		for i := range p {
-			p[i] = f.Add(r[i], f.Mul(beta, p[i]))
-			ph[i] = f.Add(rh[i], f.Mul(beta, ph[i]))
-		}
+		linalg.MulAddVec(f, beta, p, r, p)
+		linalg.MulAddVec(f, beta, ph, rh, ph)
 		track(p, ph)
 		rho = rhoNew
 	}
